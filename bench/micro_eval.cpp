@@ -33,6 +33,7 @@
 #include "fault/mask_builder.h"
 #include "nn/models.h"
 #include "nn/serialize.h"
+#include "bench_threads.h"
 #include "util/cli.h"
 #include "util/json.h"
 #include "util/log.h"
@@ -230,6 +231,8 @@ int main(int argc, char** argv) {
 #else
         root.set("march_native", json_value(false));
 #endif
+        // No thread option: the evaluators run on the default intra-op budget.
+        record_bench_threads(root, bench_threads{intra_op_threads(), intra_op_threads()});
         root.set("min_ms_per_sample", json_value(min_ms));
         root.set("samples", json_value(samples));
         root.set("vgg_k8_speedup", json_value(vgg_k8_speedup));

@@ -7,6 +7,13 @@
 // MISMATCH and never on timing, so CI can gate on correctness without
 // flaking on noise.
 //
+// Epilogue rows (schema 2): at the layer shapes of the paper-scale MLP
+// (linear forward, column bias) and one VGG conv lowering (row bias), every
+// legal fused-epilogue flag set is timed three ways — the plain GEMM, the
+// GEMM followed by separate bias and ReLU passes, and the fused epilogue —
+// and the fused output (and keep-mask) must equal the separate passes bit
+// for bit.
+//
 // Options:
 //   --out PATH     JSON output path              (default BENCH_gemm.json)
 //   --min-ms X     min measured ms per sample    (default 100)
@@ -17,13 +24,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "tensor/gemm.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "tensor/workspace.h"
 #include "util/cli.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -172,6 +182,70 @@ struct gemm_case {
     const char* note;
 };
 
+// ---- fused-epilogue rows ----------------------------------------------------
+
+/// A layer GEMM with a bias on one axis: "nt" is a linear forward
+/// (C[batch, out] = X · Wᵀ, bias per column), "nn" a conv lowering
+/// (C[out_channels, N*oh*ow] = W · patches, bias per row).
+struct epilogue_case {
+    std::string op;  // nt | nn
+    std::size_t m, k, n;
+    const char* note;
+};
+
+/// One legal gemm_epilogue flag set: the layer's bias axis on or off, ReLU
+/// on or off, keep-mask only with ReLU (bias off + ReLU off is the plain
+/// GEMM, timed in every row anyway).
+struct epilogue_flags {
+    bool bias;
+    bool relu;
+    bool keep;
+};
+
+constexpr epilogue_flags k_epilogue_flag_sets[] = {
+    {true, false, false}, {true, true, false}, {true, true, true},
+    {false, true, false}, {false, true, true},
+};
+
+std::string flags_label(const epilogue_case& c, const epilogue_flags& f) {
+    std::string label;
+    if (f.bias) { label = c.op == "nt" ? "col_bias" : "row_bias"; }
+    if (f.relu) { label += label.empty() ? "relu" : "+relu"; }
+    if (f.keep) { label += "+keep"; }
+    return label;
+}
+
+void run_layer_gemm(const epilogue_case& c, const tensor& a, const tensor& b, float* out,
+                    const gemm_epilogue* epi) {
+    if (c.op == "nt") {
+        gemm_nt(c.m, c.n, c.k, a.raw(), c.k, b.raw(), c.k, out, c.n, false, workspace::local(),
+                epi);
+    } else {
+        gemm_nn(c.m, c.n, c.k, a.raw(), c.k, b.raw(), c.n, out, c.n, false, workspace::local(),
+                epi);
+    }
+}
+
+/// The unfused reference: a bias pass, then a ReLU pass that records the
+/// keep-mask with relu_backward's predicate !(z <= 0).
+void separate_passes(const epilogue_case& c, const epilogue_flags& f, const float* bias,
+                     float* out, std::uint8_t* keep) {
+    if (f.bias) {
+        for (std::size_t i = 0; i < c.m; ++i) {
+            for (std::size_t j = 0; j < c.n; ++j) {
+                out[i * c.n + j] += c.op == "nt" ? bias[j] : bias[i];
+            }
+        }
+    }
+    if (f.relu) {
+        for (std::size_t e = 0; e < c.m * c.n; ++e) {
+            const float z = out[e];
+            if (f.keep) { keep[e] = !(z <= 0.0f) ? 1 : 0; }
+            out[e] = z > 0.0f ? z : 0.0f;
+        }
+    }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -251,9 +325,86 @@ int main(int argc, char** argv) {
             case_json.push_back(json_value(std::move(entry)));
         }
 
+        // Paper-scale MLP layers (batch 64/256; 32→64, 64→64, 64→10) and the
+        // second VGG11 w0.125 conv lowered over a batch of 64 4x4 maps.
+        std::vector<epilogue_case> epilogue_cases;
+        for (const std::size_t batch : {64u, 256u}) {
+            epilogue_cases.push_back({"nt", batch, 32, 64, "mlp linear 32->64"});
+            epilogue_cases.push_back({"nt", batch, 64, 64, "mlp linear 64->64"});
+            epilogue_cases.push_back({"nt", batch, 64, 10, "mlp head 64->10"});
+        }
+        epilogue_cases.push_back({"nn", 16, 72, 1024, "vgg conv 8->16 3x3 (row bias)"});
+
+        json_array epilogue_json;
+        for (const epilogue_case& c : epilogue_cases) {
+            tensor a({c.m, c.k});
+            tensor b(c.op == "nt" ? shape_t{c.n, c.k} : shape_t{c.k, c.n});
+            tensor bias({c.op == "nt" ? c.n : c.m});
+            uniform_init(a, -1.0f, 1.0f, gen);
+            uniform_init(b, -1.0f, 1.0f, gen);
+            uniform_init(bias, -1.0f, 1.0f, gen);
+            std::vector<float> out_sep(c.m * c.n);
+            std::vector<float> out_fused(c.m * c.n);
+            std::vector<std::uint8_t> keep_sep(c.m * c.n);
+            std::vector<std::uint8_t> keep_fused(c.m * c.n);
+            const std::string shape = c.op + " " + std::to_string(c.m) + "x" +
+                                      std::to_string(c.k) + "x" + std::to_string(c.n);
+            const double plain_ms = best_ms_per_call(
+                [&]() { run_layer_gemm(c, a, b, out_sep.data(), nullptr); }, min_ms, samples);
+
+            for (const epilogue_flags& f : k_epilogue_flag_sets) {
+                gemm_epilogue epi;
+                if (f.bias) {
+                    (c.op == "nt" ? epi.col_bias : epi.row_bias) = bias.raw();
+                }
+                epi.relu = f.relu;
+                if (f.keep) {
+                    epi.relu_keep = keep_fused.data();
+                    epi.keep_ld = c.n;
+                }
+                const auto run_separate = [&]() {
+                    run_layer_gemm(c, a, b, out_sep.data(), nullptr);
+                    separate_passes(c, f, bias.raw(), out_sep.data(), keep_sep.data());
+                };
+                const auto run_fused = [&]() {
+                    run_layer_gemm(c, a, b, out_fused.data(), &epi);
+                };
+
+                // Bitwise gate: fused output and keep-mask vs separate passes.
+                run_separate();
+                run_fused();
+                bool ok = std::memcmp(out_sep.data(), out_fused.data(),
+                                      out_sep.size() * sizeof(float)) == 0;
+                if (f.keep) { ok = ok && keep_sep == keep_fused; }
+                all_ok = all_ok && ok;
+
+                const double separate_ms = best_ms_per_call(run_separate, min_ms, samples);
+                const double fused_ms = best_ms_per_call(run_fused, min_ms, samples);
+                const std::string label = flags_label(c, f);
+                std::cout << shape << " " << label << "  plain " << plain_ms
+                          << " ms, separate " << separate_ms << " ms, fused " << fused_ms
+                          << " ms  → " << separate_ms / fused_ms << "x  (" << c.note
+                          << (ok ? ")" : ")  *** MISMATCH ***") << '\n';
+
+                json_object entry;
+                entry.set("op", json_value(c.op));
+                entry.set("m", json_value(c.m));
+                entry.set("k", json_value(c.k));
+                entry.set("n", json_value(c.n));
+                entry.set("note", json_value(std::string(c.note)));
+                entry.set("epilogue", json_value(label));
+                entry.set("plain_ms", json_value(plain_ms));
+                entry.set("separate_ms", json_value(separate_ms));
+                entry.set("fused_ms", json_value(fused_ms));
+                entry.set("fused_speedup", json_value(separate_ms / fused_ms));
+                entry.set("verified", json_value(ok));
+                epilogue_json.push_back(json_value(std::move(entry)));
+            }
+        }
+
         json_object root;
         root.set("bench", json_value("micro_gemm"));
-        root.set("schema_version", json_value(1));
+        root.set("schema_version", json_value(2));
 #ifdef REDUCE_NATIVE
         root.set("march_native", json_value(true));
 #else
@@ -263,11 +414,13 @@ int main(int argc, char** argv) {
         root.set("samples", json_value(samples));
         root.set("gemm_256_speedup", json_value(speedup_256));
         root.set("cases", json_value(std::move(case_json)));
+        root.set("epilogue_cases", json_value(std::move(epilogue_json)));
         json_save_file(out_path, json_value(std::move(root)));
         std::cout << "wrote " << out_path << " (256^3 speedup " << speedup_256 << "x)\n";
 
         if (!all_ok) {
-            std::cerr << "error: kernel output mismatch against reference\n";
+            std::cerr << "error: kernel output mismatch against reference or fused epilogue "
+                         "mismatch against the separate passes\n";
             return 1;
         }
         return 0;

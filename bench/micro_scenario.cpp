@@ -32,14 +32,14 @@
 //   --budget E        epoch budget per episode  (default 5)
 //   --target A        accuracy target in [0,1]  (default 0.9)
 //   --seed N          chip map seed             (default 4242)
-//   --gemm-threads N  parallel budget to verify (default 8)
+//   --gemm-threads N  parallel budget to verify (default 8, clamped to the
+//                     hardware threads)
 
 #include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/fat_trainer.h"
@@ -50,6 +50,7 @@
 #include "fault/scenario.h"
 #include "nn/models.h"
 #include "nn/serialize.h"
+#include "bench_threads.h"
 #include "util/cli.h"
 #include "util/json.h"
 #include "util/log.h"
@@ -125,8 +126,8 @@ int main(int argc, char** argv) {
         const double budget = args.get_double("budget", 5.0);
         const double target = args.get_double("target", 0.91);
         const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 4242));
-        const std::size_t gemm_threads =
-            resolve_thread_count(static_cast<std::size_t>(args.get_int("gemm-threads", 8)));
+        const bench_threads threads = resolve_bench_threads(args, 8);
+        const std::size_t gemm_threads = threads.used;
         const std::vector<std::string> specs = args.get_string_list(
             "scenarios", {"strike@1:0.05", "strike@2:0.1", "strike@0.5:0.05;accrue@2:0.03"});
 
@@ -226,9 +227,7 @@ int main(int argc, char** argv) {
         json_object root;
         root.set("bench", json_value("micro_scenario"));
         root.set("schema_version", json_value(1));
-        root.set("hardware_concurrency",
-                 json_value(static_cast<std::size_t>(std::thread::hardware_concurrency())));
-        root.set("gemm_threads", json_value(gemm_threads));
+        record_bench_threads(root, threads);
         root.set("budget_epochs", json_value(budget));
         root.set("target_accuracy", json_value(target));
         root.set("chip_fault_rate", json_value(rate));

@@ -39,7 +39,8 @@
 //
 // Options:
 //   --out PATH        JSON output path              (default BENCH_train.json)
-//   --gemm-threads N  intra-op budget under test    (default 8)
+//   --gemm-threads N  intra-op budget under test    (default 8, clamped to the
+//                     hardware threads)
 //   --min-ms X        min measured ms per sample    (default 200)
 //   --samples N       timing samples (best-of)      (default 3)
 //   --steps N         train steps per verification  (default 3)
@@ -51,7 +52,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/fat_trainer.h"
@@ -67,6 +67,7 @@
 #include "nn/optim.h"
 #include "nn/schedule.h"
 #include "nn/serialize.h"
+#include "bench_threads.h"
 #include "util/cli.h"
 #include "util/json.h"
 #include "util/log.h"
@@ -328,8 +329,8 @@ int main(int argc, char** argv) {
         const cli_args args(argc, argv);
         set_log_level(log_level::warn);
         const std::string out_path = args.get("out", "BENCH_train.json");
-        const std::size_t gemm_threads =
-            resolve_thread_count(static_cast<std::size_t>(args.get_int("gemm-threads", 8)));
+        const bench_threads threads = resolve_bench_threads(args, 8);
+        const std::size_t gemm_threads = threads.used;
         const double min_ms = args.get_double("min-ms", 200.0);
         const std::size_t samples = static_cast<std::size_t>(args.get_int("samples", 3));
         const std::size_t steps = static_cast<std::size_t>(args.get_int("steps", 3));
@@ -540,9 +541,7 @@ int main(int argc, char** argv) {
 #else
         root.set("march_native", json_value(false));
 #endif
-        root.set("hardware_concurrency",
-                 json_value(static_cast<std::size_t>(std::thread::hardware_concurrency())));
-        root.set("gemm_threads", json_value(gemm_threads));
+        record_bench_threads(root, threads);
         root.set("min_ms_per_sample", json_value(min_ms));
         root.set("samples", json_value(samples));
         root.set("verify_steps", json_value(steps));

@@ -28,6 +28,9 @@ selection retraining_selector::select_for_rate(double effective_rate) const {
     double amount = *epochs * cfg_.safety_factor + cfg_.safety_margin;
     if (cfg_.rounding_quantum > 0.0) {
         amount = std::ceil(amount / cfg_.rounding_quantum - 1e-9) * cfg_.rounding_quantum;
+        // ceil of a value in (-1, 0) is -0.0: a zero-epoch allocation must
+        // read +0.0, as it does after any wire round-trip.
+        if (amount == 0.0) { amount = 0.0; }
     }
     if (amount > table_.max_epochs()) {
         amount = table_.max_epochs();

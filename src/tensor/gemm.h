@@ -40,12 +40,14 @@ namespace reduce {
 
 class workspace;
 
-/// Post-op fused into the micro-kernel tail: applied to each C tile as it is
-/// stored on the LAST KC panel, while the tile is still cache-hot, instead
-/// of in separate memory passes afterwards. Per element the operation order
-/// is exactly the unfused passes' — bias-add first, then ReLU — so fused
-/// results are bit-identical to "GEMM, then add_row_bias_inplace / scatter
-/// bias, then relu()" at any intra-op budget, NaN/Inf included.
+/// Post-op fused into the micro-kernel tail: applied to each C tile in the
+/// same pass that stores it on the LAST KC panel, instead of in separate
+/// memory passes afterwards. The flags are resolved once per call into a
+/// compile-time specialization of the tile store, so no per-element branch
+/// survives. Per element the operation order is exactly the unfused
+/// passes' — bias-add first, then ReLU — so fused results are bit-identical
+/// to "GEMM, then add_row_bias_inplace / scatter bias, then relu()" at any
+/// intra-op budget, NaN/Inf included.
 ///
 /// `relu_keep` optionally records the backward keep-mask alongside the
 /// activation: keep = !(z <= 0) where z is the pre-activation value, the

@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/fleet_executor.h"
 #include "core/pipeline.h"
 #include "core/policy.h"
 #include "core/workload.h"
+#include "nn/schedule.h"
+#include "nn/serialize.h"
 #include "util/error.h"
 
 namespace reduce {
@@ -184,6 +189,38 @@ TEST_F(FleetExecutorFixture, OutcomesAndSnapshotsAreGemmThreadIndependent) {
             }
         }
     }
+}
+
+TEST_F(FleetExecutorFixture, FusedAndUnfusedLayersGiveIdenticalOutcomeBitsAndSnapshots) {
+    // Layer fusion (GEMM epilogue bias + ReLU + keep-mask) is an execution
+    // choice only: a fleet retrained with fusion on must match the unfused
+    // per-layer path in every outcome bit and every tuned snapshot byte.
+    const reduce_policy reduce(table(), sel_config());
+    const auto run_with_fusion = [&](bool fused) {
+        const scoped_layer_fusion fusion(fused);
+        fleet_executor executor = make_executor(2);
+        std::vector<std::string> snaps;
+        executor.set_model_sink([&](const chip&, const model_snapshot& snap) {
+            snaps.push_back(snapshot_to_bytes(snap));
+        });
+        policy_outcome outcome = executor.run(reduce, fleet());
+        return std::make_pair(std::move(outcome), std::move(snaps));
+    };
+    const auto [fused, fused_snaps] = run_with_fusion(true);
+    const auto [unfused, unfused_snaps] = run_with_fusion(false);
+    expect_identical(unfused, fused);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    ASSERT_EQ(fused.chips.size(), unfused.chips.size());
+    for (std::size_t i = 0; i < fused.chips.size(); ++i) {
+        const chip_outcome& x = fused.chips[i];
+        const chip_outcome& y = unfused.chips[i];
+        EXPECT_EQ(bits(x.epochs_allocated), bits(y.epochs_allocated)) << "chip " << i;
+        EXPECT_EQ(bits(x.epochs_run), bits(y.epochs_run)) << "chip " << i;
+        EXPECT_EQ(bits(x.accuracy_before), bits(y.accuracy_before)) << "chip " << i;
+        EXPECT_EQ(bits(x.final_accuracy), bits(y.final_accuracy)) << "chip " << i;
+    }
+    ASSERT_EQ(fused_snaps.size(), fleet().size());
+    EXPECT_EQ(fused_snaps, unfused_snaps);
 }
 
 TEST_F(FleetExecutorFixture, RunNameDefaultsToPolicyName) {

@@ -12,6 +12,7 @@
 #include "core/resilience.h"
 #include "core/workload.h"
 #include "nn/norm.h"
+#include "nn/schedule.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -201,6 +202,28 @@ TEST_F(SweepFixture, DeterminismMatrixGemmThreadsByWorkersBySharding) {
             EXPECT_EQ(merged.to_json().dump(), reference)
                 << "sharded: workers=" << workers << " gemm_threads=" << gemm_threads;
         }
+    }
+}
+
+TEST_F(SweepFixture, FusedAndUnfusedLayersGiveIdenticalTables) {
+    // Every training forward and checkpoint evaluation of a cell runs
+    // through the fused GEMM epilogue by default; with fusion off the same
+    // sweep takes the per-layer path. The table must not move a byte,
+    // serially or with workers and intra-op threads.
+    resilience_analyzer analyzer = make_analyzer();
+    const resilience_config cfg = small_config();
+    for (const std::size_t workers : {1u, 4u}) {
+        sweep_options opts;
+        opts.threads = workers;
+        opts.gemm_threads = workers == 1 ? 2 : 1;
+        std::string unfused;
+        {
+            const scoped_layer_fusion off(false);
+            unfused = analyzer.analyze(cfg, opts).to_json().dump();
+        }
+        const scoped_layer_fusion on(true);
+        EXPECT_EQ(analyzer.analyze(cfg, opts).to_json().dump(), unfused)
+            << "workers=" << workers;
     }
 }
 

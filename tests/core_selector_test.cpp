@@ -50,6 +50,19 @@ TEST(Selector, RoundingQuantumCeils) {
     EXPECT_DOUBLE_EQ(epochs, 2.5);  // 2.3 → ceil to 0.5 grid
 }
 
+TEST(Selector, ZeroEpochAllocationIsPositiveZero) {
+    // ceil(0 / q - 1e-9) is -0.0; the rounded zero allocation must carry no
+    // sign bit, so local and wire-decoded outcomes agree bit for bit.
+    const resilience_table table = linear_table();
+    selector_config cfg;
+    cfg.accuracy_target = 0.9;
+    cfg.rounding_quantum = 0.5;
+    const retraining_selector selector(table, cfg);
+    const double epochs = selector.select_for_rate(0.0).epochs.value();
+    EXPECT_EQ(epochs, 0.0);
+    EXPECT_FALSE(std::signbit(epochs));
+}
+
 TEST(Selector, SafetyFactorAndMargin) {
     const resilience_table table = linear_table();
     selector_config cfg;

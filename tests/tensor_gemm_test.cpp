@@ -771,6 +771,207 @@ TEST(ParallelGemm, GroupedEvalDriversBitwiseAcrossBudgets) {
 // pass → relu pass at any thread budget, NaN/Inf included, and the
 // keep-mask reproduces relu_backward's predicate exactly.
 
+// Every legal epilogue flag set — bias on rows, on columns or none, ReLU
+// off/on, keep-mask with ReLU — is its own compile-time specialization of
+// the tile store, picked once per call. A flag set routed to the wrong
+// specialization would still produce plausible numbers, so each one is
+// compared bitwise against the plain GEMM followed by the unfused passes.
+struct epilogue_flags {
+    int bias;  // 0 none, 1 row, 2 column
+    bool relu;
+    bool keep;
+};
+
+std::vector<epilogue_flags> legal_epilogue_flags() {
+    std::vector<epilogue_flags> out;
+    for (int bias = 0; bias < 3; ++bias) {
+        for (const bool relu : {false, true}) {
+            for (const bool keep : {false, true}) {
+                if (!keep || relu) { out.push_back({bias, relu, keep}); }
+            }
+        }
+    }
+    return out;
+}
+
+std::string describe(const epilogue_flags& f) {
+    static const char* const axes[] = {"none", "row", "col"};
+    return std::string("bias=") + axes[f.bias] + (f.relu ? " relu" : "") +
+           (f.keep ? " keep" : "");
+}
+
+/// The unfused passes over a plain GEMM result: bias add, then ReLU with
+/// relu_backward's keep predicate.
+void unfused_passes(const epilogue_flags& f, const std::vector<float>& row_bias,
+                    const std::vector<float>& col_bias, std::size_t m, std::size_t n,
+                    float* c, std::uint8_t* keep) {
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            float z = c[i * n + j];
+            if (f.bias == 1) { z += row_bias[i]; }
+            if (f.bias == 2) { z += col_bias[j]; }
+            if (f.relu) {
+                if (f.keep) { keep[i * n + j] = !(z <= 0.0f) ? 1 : 0; }
+                z = z > 0.0f ? z : 0.0f;
+            }
+            c[i * n + j] = z;
+        }
+    }
+}
+
+gemm_epilogue make_epilogue(const epilogue_flags& f, const std::vector<float>& row_bias,
+                            const std::vector<float>& col_bias, std::uint8_t* keep,
+                            std::size_t keep_ld) {
+    gemm_epilogue epi;
+    if (f.bias == 1) { epi.row_bias = row_bias.data(); }
+    if (f.bias == 2) { epi.col_bias = col_bias.data(); }
+    epi.relu = f.relu;
+    if (f.keep) {
+        epi.relu_keep = keep;
+        epi.keep_ld = keep_ld;
+    }
+    return epi;
+}
+
+/// Edge shapes {m, k, n}: m % 4 != 0, n % 16 != 0, k over one and two KC
+/// panels, k == 0, full 4x16 tiles, and sizes past MC/NC and the parallel
+/// threshold (so threads 2 and 8 really split the grid).
+const std::vector<std::array<std::size_t, 3>> kEpilogueShapes = {
+    {5, 13, 19}, {8, 40, 32}, {7, 300, 33}, {66, 520, 70}, {6, 0, 17}, {130, 260, 150},
+};
+
+/// Random operands poisoned with NaN/Inf, an all-zero A row (exact-zero
+/// pre-activations) and a -0 bias entry.
+struct epilogue_operands {
+    std::vector<float> a, b, row_bias, col_bias;
+};
+
+epilogue_operands make_epilogue_operands(std::size_t m, std::size_t k, std::size_t n,
+                                         std::size_t a_rows, rng& gen) {
+    epilogue_operands ops;
+    const auto fill = [&gen](std::vector<float>& v, std::size_t count) {
+        tensor t({count == 0 ? 1 : count});
+        uniform_init(t, -1.0f, 1.0f, gen);
+        v.assign(t.raw(), t.raw() + count);
+    };
+    fill(ops.a, a_rows * k);
+    fill(ops.b, k * n);
+    fill(ops.row_bias, m);
+    fill(ops.col_bias, n);
+    if (k > 0) {
+        ops.a[0] = std::numeric_limits<float>::quiet_NaN();
+        ops.b[k * n - 1] = std::numeric_limits<float>::infinity();
+        for (std::size_t p = 0; p < k; ++p) { ops.a[(a_rows - 1) * k + p] = 0.0f; }
+    }
+    ops.row_bias[m - 1] = -0.0f;
+    ops.col_bias[0] = -0.0f;
+    return ops;
+}
+
+TEST(FusedEpilogue, EverySpecializationMatchesUnfusedThroughGemmDrivers) {
+    rng gen(257);
+    for (const auto& [m, k, n] : kEpilogueShapes) {
+        const epilogue_operands ops = make_epilogue_operands(m, k, n, m, gen);
+        // B for gemm_nt is the transpose of the nn operand.
+        std::vector<float> bt(n * k);
+        for (std::size_t p = 0; p < k; ++p) {
+            for (std::size_t j = 0; j < n; ++j) { bt[j * k + p] = ops.b[p * n + j]; }
+        }
+        set_intra_op_threads(1);
+        std::vector<float> plain_nn(m * n), plain_nt(m * n);
+        gemm_nn(m, n, k, ops.a.data(), k, ops.b.data(), n, plain_nn.data(), n, false,
+                workspace::local());
+        gemm_nt(m, n, k, ops.a.data(), k, bt.data(), k, plain_nt.data(), n, false,
+                workspace::local());
+        for (const epilogue_flags& f : legal_epilogue_flags()) {
+            std::vector<float> want_nn = plain_nn, want_nt = plain_nt;
+            std::vector<std::uint8_t> want_keep(m * n, 0xEE), scratch_keep(m * n, 0xEE);
+            unfused_passes(f, ops.row_bias, ops.col_bias, m, n, want_nn.data(),
+                           want_keep.data());
+            unfused_passes(f, ops.row_bias, ops.col_bias, m, n, want_nt.data(),
+                           scratch_keep.data());
+            for (const std::size_t threads : {1u, 2u, 8u}) {
+                const scoped_intra_op_threads budget(threads);
+                const std::string where = describe(f) + " " + std::to_string(m) + "x" +
+                                          std::to_string(k) + "x" + std::to_string(n) +
+                                          " @" + std::to_string(threads);
+                std::vector<std::uint8_t> keep(m * n, 0xEE);
+                gemm_epilogue epi = make_epilogue(f, ops.row_bias, ops.col_bias, keep.data(), n);
+                std::vector<float> got(m * n, -7.0f);
+                gemm_nn(m, n, k, ops.a.data(), k, ops.b.data(), n, got.data(), n, false,
+                        workspace::local(), &epi);
+                EXPECT_EQ(0, std::memcmp(want_nn.data(), got.data(), got.size() * sizeof(float)))
+                    << "gemm_nn " << where;
+                EXPECT_EQ(want_keep, keep) << "gemm_nn keep " << where;
+
+                std::fill(keep.begin(), keep.end(), 0xEE);
+                std::fill(got.begin(), got.end(), -7.0f);
+                gemm_nt(m, n, k, ops.a.data(), k, bt.data(), k, got.data(), n, false,
+                        workspace::local(), &epi);
+                EXPECT_EQ(0, std::memcmp(want_nt.data(), got.data(), got.size() * sizeof(float)))
+                    << "gemm_nt " << where;
+                EXPECT_EQ(scratch_keep, keep) << "gemm_nt keep " << where;
+            }
+        }
+    }
+}
+
+TEST(FusedEpilogue, EverySpecializationMatchesUnfusedThroughGroupedDriver) {
+    // gemm_nn_multi has no keep-mask; every other flag set runs over three
+    // A variants, with the full k and with a k-subset (every other row).
+    rng gen(263);
+    constexpr std::size_t count = 3;
+    for (const auto& [m, k, n] : kEpilogueShapes) {
+        const epilogue_operands ops = make_epilogue_operands(m, k, n, count * m, gen);
+        std::vector<std::size_t> rows;
+        for (std::size_t p = 0; p < k; p += 2) { rows.push_back(p); }
+        std::vector<float> compact_b(rows.size() * n);
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            for (std::size_t j = 0; j < n; ++j) {
+                compact_b[r * n + j] = ops.b[rows[r] * n + j];
+            }
+        }
+        const gemm_k_subset subset{rows.data(), rows.size(), k};
+        std::vector<const float*> a_list;
+        for (std::size_t g = 0; g < count; ++g) { a_list.push_back(ops.a.data() + g * m * k); }
+
+        for (const bool use_subset : {false, true}) {
+            const float* b = use_subset ? compact_b.data() : ops.b.data();
+            const gemm_k_subset* sub = use_subset ? &subset : nullptr;
+            set_intra_op_threads(1);
+            std::vector<float> plain(count * m * n);
+            std::vector<float*> plain_list;
+            for (std::size_t g = 0; g < count; ++g) {
+                plain_list.push_back(plain.data() + g * m * n);
+            }
+            gemm_nn_multi(m, n, k, a_list.data(), count, k, b, n, plain_list.data(), n, false,
+                          workspace::local(), sub);
+            for (const epilogue_flags& f : legal_epilogue_flags()) {
+                if (f.keep) { continue; }
+                std::vector<float> want = plain;
+                for (std::size_t g = 0; g < count; ++g) {
+                    unfused_passes(f, ops.row_bias, ops.col_bias, m, n, want.data() + g * m * n,
+                                   nullptr);
+                }
+                const gemm_epilogue epi = make_epilogue(f, ops.row_bias, ops.col_bias, nullptr, 0);
+                for (const std::size_t threads : {1u, 2u, 8u}) {
+                    const scoped_intra_op_threads budget(threads);
+                    std::vector<float> got(count * m * n, -7.0f);
+                    std::vector<float*> got_list;
+                    for (std::size_t g = 0; g < count; ++g) {
+                        got_list.push_back(got.data() + g * m * n);
+                    }
+                    gemm_nn_multi(m, n, k, a_list.data(), count, k, b, n, got_list.data(), n,
+                                  false, workspace::local(), sub, &epi);
+                    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), got.size() * sizeof(float)))
+                        << "gemm_nn_multi " << describe(f) << (use_subset ? " subset " : " ")
+                        << m << "x" << k << "x" << n << " @" << threads;
+                }
+            }
+        }
+    }
+}
+
 TEST(FusedEpilogue, MatmulNtBiasMatchesUnfusedBitwiseAcrossTileEdges) {
     rng gen(211);
     for (const auto& [m, k, n] : kShapes) {
